@@ -48,7 +48,7 @@ Groups:
   :class:`SyncSession` and :class:`EncounterSession` run the paper's
   Figure 4 exchange (one direction, or a full two-sync encounter) over
   any :class:`Transport`, configured by :class:`SessionConfig`. The
-  emulator, the benches, and the live network all drive these same
+  emulator, the tests, and the live network all drive these same
   objects; the old ``perform_sync``/``perform_encounter`` free functions
   remain as deprecated shims.
 * **Live swarm** — :func:`run_swarm` / :class:`SwarmConfig` replay a

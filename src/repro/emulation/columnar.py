@@ -789,7 +789,7 @@ UNREPLICATED_COUNTERS: Tuple[str, ...] = (
 def comparable_metrics(metrics: MetricsCollector) -> Dict[str, Any]:
     """``metrics.to_dict()`` restricted to the equivalence contract.
 
-    Both the equivalence tests and ``repro bench scale`` compare engines
+    Both the equivalence tests and the columnar speedup gate compare engines
     through this view: everything in :meth:`MetricsCollector.to_dict`
     except :data:`UNREPLICATED_COUNTERS`.
     """

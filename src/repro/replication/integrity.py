@@ -76,7 +76,7 @@ def _opaque(value: object) -> str:
 
 #: Count of actual serialise-and-hash computations performed by
 #: :func:`item_checksum` since process start (or the last reset). This is
-#: the quantity ``repro bench encounter`` measures: cache layers avoid
+#: the quantity the checksum count gate measures: cache layers avoid
 #: computations, they never change results, so the counter is the honest
 #: cost metric for both the cached and the uncached pipeline.
 _computations = 0
@@ -104,7 +104,7 @@ def item_checksum(item: Item) -> str:
 
     Always computes — this is the executable specification the memoised
     layers (:func:`cached_item_checksum`, :class:`ChecksumCache`) must
-    agree with, and the baseline the benchmark measures against.
+    agree with, and the baseline the checksum count gate measures against.
     """
     global _computations
     _computations += 1

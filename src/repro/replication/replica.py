@@ -315,25 +315,15 @@ class Replica:
         and probing ``knowledge.contains``, each store's version index
         enumerates only the counters above the peer's known prefix (see
         :meth:`~repro.replication.store.ItemStore.unknown_items`). The
-        result is identical to :meth:`items_unknown_to_scan` — same items,
-        same order — at a cost proportional to what the peer is missing.
+        result is identical to filtering :meth:`stored_items` through
+        ``knowledge.contains`` — same items, same order — at a cost
+        proportional to what the peer is missing.
         """
         return (
             self._store.unknown_items(knowledge)
             + self._outbox.unknown_items(knowledge)
             + self._relay.unknown_items(knowledge)
         )
-
-    def items_unknown_to_scan(self, knowledge: VersionVector) -> List[Item]:
-        """Reference full-scan implementation of :meth:`items_unknown_to`.
-
-        Kept as the executable specification the version index must match
-        (the equivalence tests assert it) and as the baseline the
-        ``repro bench sync`` micro-benchmark measures against.
-        """
-        return [
-            item for item in self.stored_items() if not knowledge.contains(item.version)
-        ]
 
     def get_item(self, item_id: ItemId) -> Optional[Item]:
         return self._find(item_id)

@@ -2,7 +2,7 @@
 
 :func:`~repro.replication.sync.perform_sync` and
 :func:`~repro.replication.sync.perform_encounter` grew one positional
-flag per feature (bandwidth caps, fault transports, index/cache toggles,
+flag per feature (bandwidth caps, fault transports, a checksum-cache toggle,
 knowledge digests). This module re-packages the same flow behind three
 keyword-only objects:
 
@@ -30,7 +30,8 @@ delivery half of a live socket connection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro._compat import keyword_only_dataclass
@@ -83,26 +84,38 @@ class SessionConfig:
 
     ``max_items`` is the bandwidth cap (per sync when given to a
     :class:`SyncSession`, per encounter when given to an
-    :class:`EncounterSession`); ``use_index``/``use_cache`` select the
-    optimised enumeration and checksum paths (the ``False`` legs exist
-    as measured baselines); ``digest`` arms the compact knowledge-digest
-    mode (``docs/protocol.md`` §8).
+    :class:`EncounterSession`); ``use_cache`` selects the cached checksum
+    path (``False`` recomputes every checksum, the reference the
+    equivalence tests compare against); ``digest`` arms the compact
+    knowledge-digest mode (``docs/protocol.md`` §8).
+
+    ``use_index`` is deprecated and has no effect: the version index is
+    the only enumeration path, and it selects the same batch a full
+    scan would. Passing ``use_index=False`` emits
+    :class:`DeprecationWarning`; the field is removed in the next
+    release. It takes no part in equality or serialisation.
     """
 
     max_items: Optional[int] = None
-    use_index: bool = True
+    use_index: bool = field(default=True, compare=False, repr=False)
     use_cache: bool = True
     digest: Optional[DigestConfig] = None
 
     def __post_init__(self) -> None:
         if self.max_items is not None and self.max_items < 0:
             raise ValueError("max_items must be non-negative or None")
+        if not self.use_index:
+            warnings.warn(
+                "SessionConfig(use_index=False) is deprecated and has no "
+                "effect; the field will be removed in the next release",
+                DeprecationWarning,
+                stacklevel=4,
+            )
 
     def to_dict(self) -> dict:
         """A JSON-safe dict; ``from_dict(to_dict())`` reconstructs exactly."""
         return {
             "max_items": self.max_items,
-            "use_index": self.use_index,
             "use_cache": self.use_cache,
             "digest": (
                 None
@@ -119,7 +132,6 @@ class SessionConfig:
         digest = data.get("digest")
         return cls(
             max_items=data.get("max_items"),
-            use_index=data.get("use_index", True),
             use_cache=data.get("use_cache", True),
             digest=(
                 None
@@ -214,7 +226,6 @@ class SyncSession:
             request,
             self._source_context(),
             max_items=budget,
-            use_index=self.config.use_index,
         )
 
     def stamp(self, batch: List[BatchEntry]) -> List[BatchEntry]:

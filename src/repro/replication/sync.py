@@ -442,7 +442,6 @@ def build_batch(
     request: SyncRequest,
     context: SyncContext,
     max_items: Optional[int] = None,
-    use_index: bool = True,
 ) -> Tuple[List[BatchEntry], SyncStats]:
     """Source side: select, prioritise, order, and truncate the batch.
 
@@ -453,13 +452,12 @@ def build_batch(
     to ``max_items`` when a bandwidth cap applies (via a partial sort —
     picking the same prefix a full sort-then-slice would).
 
-    With ``use_index`` (the default) the unknown items are enumerated
-    through the stores' version indexes and the target-filter evaluations
-    go through the source's :class:`~repro.replication.filters.FilterMatchCache`
-    — per-encounter cost proportional to what the target is missing.
-    ``use_index=False`` keeps the original full-store scan; it exists as
-    the measured baseline for ``repro bench sync`` and the equivalence
-    tests, and produces identical batches.
+    The unknown items are enumerated through the stores' version indexes
+    and the target-filter evaluations go through the source's
+    :class:`~repro.replication.filters.FilterMatchCache` — per-encounter
+    cost proportional to what the target is missing, not to the store
+    size. The tests hold this enumeration to a full-store scan oracle:
+    same items, same order, hence the same batch.
 
     In digest mode (``request.digest`` set) the exact-knowledge machinery
     is bypassed: the digest is validated (checksum + fabrication probes,
@@ -503,36 +501,21 @@ def build_batch(
             else:
                 unknown.append(item)
         stats.digest_suppressed = len(suppressed)
-        if use_index:
-            cache = source.replica.filter_cache
-            hits, misses, invalidations = (
-                cache.hits, cache.misses, cache.invalidations,
-            )
-            matches = lambda item: cache.matches(request.filter, item)  # noqa: E731
-        else:
-            matches = request.filter.matches
         stats.candidates = len(unknown)
     else:
         from .codec import knowledge_wire_size
 
         stats.metadata_bytes = knowledge_wire_size(request.knowledge)
         knowledge = validate_request_knowledge(source, request, stats)
-        if use_index:
-            unknown = source.replica.items_unknown_to(knowledge)
-            cache = source.replica.filter_cache
-            hits, misses, invalidations = (
-                cache.hits, cache.misses, cache.invalidations,
-            )
-            matches = lambda item: cache.matches(request.filter, item)  # noqa: E731
-        else:
-            unknown = source.replica.items_unknown_to_scan(knowledge)
-            matches = request.filter.matches
+        unknown = source.replica.items_unknown_to(knowledge)
         stats.candidates = len(unknown)
         stats.index_skipped = stats.store_size - stats.candidates
 
+    cache = source.replica.filter_cache
+    hits, misses, invalidations = cache.hits, cache.misses, cache.invalidations
     entries: List[BatchEntry] = []
     for item in unknown:
-        if matches(item):
+        if cache.matches(request.filter, item):
             entries.append(
                 BatchEntry(item, True, Priority(PriorityClass.FILTER_MATCH))
             )
@@ -547,10 +530,9 @@ def build_batch(
                 )
             entries.append(BatchEntry(item, False, priority))
 
-    if use_index:
-        stats.filter_cache_hits = cache.hits - hits
-        stats.filter_cache_misses = cache.misses - misses
-        stats.filter_cache_invalidations = cache.invalidations - invalidations
+    stats.filter_cache_hits = cache.hits - hits
+    stats.filter_cache_misses = cache.misses - misses
+    stats.filter_cache_invalidations = cache.invalidations - invalidations
 
     # Decorate once: ``sort_key()`` is computed exactly once per entry and
     # the enumeration index breaks ties, so plain tuple comparison gives
@@ -642,8 +624,8 @@ def apply_batch(
     only ever skips the hash for an object it has itself verified before —
     verification-before-cache, so a corrupted entry can never be accepted
     via a cache hit. ``use_cache=False`` recomputes every checksum; it is
-    the measured baseline for ``repro bench encounter`` and the
-    cached-vs-uncached equivalence tests, and quarantines identically.
+    the reference the cached-vs-uncached equivalence tests and the
+    checksum count gate measure against, and quarantines identically.
     """
     snapshot = target.replica.knowledge.copy() if tolerate_duplicates else None
     seen_checksums: Dict[Any, Optional[str]] = {}
@@ -760,7 +742,7 @@ def perform_sync(
     now: float = 0.0,
     max_items: Optional[int] = None,
     transport: Optional[Any] = None,
-    use_index: bool = True,
+    *,
     use_cache: bool = True,
     digest: Optional[DigestConfig] = None,
 ) -> SyncStats:
@@ -814,7 +796,6 @@ def perform_sync(
         now=now,
         config=SessionConfig(
             max_items=max_items,
-            use_index=use_index,
             use_cache=use_cache,
             digest=digest,
         ),
@@ -828,7 +809,7 @@ def perform_encounter(
     now: float = 0.0,
     max_items_per_encounter: Optional[int] = None,
     transport_factory: Optional[Any] = None,
-    use_index: bool = True,
+    *,
     use_cache: bool = True,
     digest: Optional[DigestConfig] = None,
 ) -> List[SyncStats]:
@@ -869,7 +850,6 @@ def perform_encounter(
         now=now,
         config=SessionConfig(
             max_items=max_items_per_encounter,
-            use_index=use_index,
             use_cache=use_cache,
             digest=digest,
         ),

@@ -2,8 +2,6 @@
 
 import warnings
 
-import pytest
-
 import repro
 import repro.api as api
 
@@ -46,13 +44,6 @@ class TestPolicyRegistryContract:
 
 
 class TestDeprecationShims:
-    def test_create_policy_warns_but_works(self):
-        from repro.dtn.registry import create_policy
-
-        with pytest.warns(DeprecationWarning, match="get_policy"):
-            policy = create_policy("epidemic")
-        assert policy is not None
-
     def test_keyword_construction_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

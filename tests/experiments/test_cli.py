@@ -20,6 +20,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "11"])
 
+    def test_bench_is_not_a_command(self):
+        # Benchmarking lives in perfbench/run.py, outside the CLI.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "sync"])
+        assert excinfo.value.code == 2
+
 
 class TestTraceCommand:
     def test_prints_summary(self, capsys):
@@ -171,66 +177,3 @@ class TestFigureAll:
         for name in ("fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9", "fig10"):
             assert (tmp_path / f"{name}.txt").exists()
 
-
-class TestBenchDispatcher:
-    """The unified ``repro bench <name>`` front end."""
-
-    def test_bench_requires_a_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench"])
-
-    def test_unknown_bench_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "warp"])
-
-    @pytest.mark.parametrize(
-        "which", ["sync", "encounter", "sweep", "metadata", "scale"]
-    )
-    def test_every_bench_shares_the_output_flag(self, which):
-        args = build_parser().parse_args(
-            ["bench", which, "--output", "artifact.json"]
-        )
-        assert args.which == which
-        assert str(args.output) == "artifact.json"
-
-    def test_per_bench_flags_stay_per_bench(self):
-        args = build_parser().parse_args(
-            ["bench", "sync", "--verify-every", "10", "--min-reduction", "2"]
-        )
-        assert args.verify_every == 10 and args.min_reduction == 2.0
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "sweep", "--verify-every", "10"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "scale", "--min-reduction", "2"])
-
-    def test_scale_defaults(self):
-        args = build_parser().parse_args(["bench", "scale"])
-        assert args.preset == "full"
-        assert args.seed == 42
-        assert args.min_speedup is None
-        assert not args.no_equivalence
-
-    def test_scale_runs_tiny_preset(self, tmp_path, capsys):
-        target = tmp_path / "BENCH_scale.json"
-        assert (
-            main(
-                [
-                    "bench",
-                    "scale",
-                    "--preset",
-                    "tiny",
-                    "--min-speedup",
-                    "1",
-                    "--output",
-                    str(target),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "matched comparison" in out
-        assert "identical comparable metrics: True" in out
-        assert target.exists()
-
-    def test_scale_rejects_unsupported_policy(self, capsys):
-        assert main(["bench", "scale", "--preset", "tiny", "--policy", "prophet"]) != 0

@@ -6,7 +6,7 @@ Two executable properties must hold throughout:
 
 * **index/scan equivalence** — at every point, for every (holder, peer)
   pair, ``items_unknown_to(knowledge)`` returns exactly what the
-  reference full scan ``items_unknown_to_scan`` returns, same items in
+  full-scan oracle ``items_unknown_to_scan`` returns, same items in
   the same order, under random authoring, relaying, capped-store
   evictions, expunges, deletions, and crash-restarts;
 * **no stale filter matches** — the memoised filter-match cache agrees
@@ -23,6 +23,7 @@ import pytest
 from repro.dtn import EpidemicPolicy
 from repro.emulation.node import EmulatedNode
 from repro.replication.sync import perform_encounter
+from tests.scan_oracle import items_unknown_to_scan
 
 SEEDS = range(16)
 
@@ -34,7 +35,7 @@ def assert_index_matches_scan(nodes, context=""):
         for peer in nodes.values():
             knowledge = peer.replica.knowledge
             indexed = holder.replica.items_unknown_to(knowledge)
-            scanned = holder.replica.items_unknown_to_scan(knowledge)
+            scanned = items_unknown_to_scan(holder.replica, knowledge)
             assert indexed == scanned, (
                 f"{context}: {holder.name}'s index diverges from the scan "
                 f"against {peer.name}'s knowledge: {indexed!r} != {scanned!r}"

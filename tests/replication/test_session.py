@@ -222,11 +222,23 @@ class TestSessionConfig:
     def test_round_trip_with_digest(self):
         config = SessionConfig(
             max_items=7,
-            use_index=False,
+            use_cache=False,
             digest=DigestConfig(fp_rate=0.01, force=True),
         )
         restored = SessionConfig.from_dict(config.to_dict())
         assert restored == config
+        assert restored.to_dict() == config.to_dict()
+
+    def test_use_index_is_deprecated_and_inert(self):
+        with pytest.warns(DeprecationWarning, match="use_index"):
+            config = SessionConfig(max_items=3, use_index=False)
+        assert config == SessionConfig(max_items=3)
+        assert "use_index" not in config.to_dict()
+        # Dicts written before the deprecation still load, silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            legacy = SessionConfig.from_dict({"max_items": 3, "use_index": False})
+        assert legacy == config
 
     def test_round_trip_defaults(self):
         assert SessionConfig.from_dict(SessionConfig().to_dict()) == SessionConfig()

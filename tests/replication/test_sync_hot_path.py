@@ -3,8 +3,9 @@
 Two equivalences underpin the hot-path optimisation and both are load
 bearing for reproducibility (the evaluation figures must not move):
 
-* ``build_batch(use_index=True)`` must produce the identical batch to the
-  reference full-scan path (``use_index=False``), entry for entry;
+* ``build_batch`` over the version index must produce the identical
+  batch to one built from the full-store scan oracle
+  (``tests/scan_oracle.py``), entry for entry;
 * truncation under a bandwidth cap uses ``heapq.nsmallest`` and must pick
   exactly the prefix a stable full sort followed by a slice would — ties
   inside a priority band resolve by enumeration order either way.
@@ -26,6 +27,7 @@ from repro.replication.routing import (
 )
 from repro.replication.sync import BatchEntry, build_batch, build_request
 from tests.conftest import make_item
+from tests.scan_oracle import scan_enumeration
 
 
 class BandPolicy(RoutingPolicy):
@@ -89,9 +91,10 @@ class TestTruncationPrefix:
         context = source_context(source)
         for cap in (5, 17):
             indexed, _ = build_batch(source, request, context, max_items=cap)
-            scanned, _ = build_batch(
-                source, request, context, max_items=cap, use_index=False
-            )
+            with scan_enumeration(source.replica):
+                scanned, _ = build_batch(
+                    source, request, context, max_items=cap
+                )
             assert indexed == scanned
 
     def test_cap_zero_sends_nothing(self):
@@ -110,9 +113,8 @@ class TestIndexScanBatchEquivalence:
         request = target_request()
         context = source_context(source)
         indexed, indexed_stats = build_batch(source, request, context)
-        scanned, scanned_stats = build_batch(
-            source, request, context, use_index=False
-        )
+        with scan_enumeration(source.replica):
+            scanned, scanned_stats = build_batch(source, request, context)
         assert indexed == scanned
         assert indexed_stats.candidates == scanned_stats.candidates
         assert indexed_stats.store_size == scanned_stats.store_size == 30
@@ -139,16 +141,6 @@ class TestIndexScanBatchEquivalence:
         _, second = build_batch(source, request, context)
         assert second.filter_cache_misses == 0
         assert second.filter_cache_hits == 10
-
-    def test_scan_path_bypasses_the_filter_cache(self):
-        source = populated_source(10)
-        request = target_request()
-        _, stats = build_batch(
-            source, request, source_context(source), use_index=False
-        )
-        assert stats.filter_cache_hits == 0
-        assert stats.filter_cache_misses == 0
-        assert len(source.replica.filter_cache) == 0
 
 
 @pytest.mark.skipif(
