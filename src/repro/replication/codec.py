@@ -100,6 +100,8 @@ def decode_knowledge(data: Any) -> VersionVector:
         raise CodecError(f"bad knowledge encoding: {data!r}")
     entries: Dict[ReplicaId, _Entry] = {}
     for name, shape in data.items():
+        if not isinstance(name, str):
+            raise CodecError(f"bad knowledge replica name: {name!r}")
         try:
             prefix, *extras = shape
             entries[ReplicaId(name)] = _Entry(
@@ -470,15 +472,14 @@ def item_wire_size(item: Item) -> int:
 def knowledge_wire_size(vector: VersionVector) -> int:
     """Bytes a replica's knowledge occupies in a sync request.
 
-    Memoised on the vector itself (the ``item_wire_size`` pattern): a
-    replica's knowledge is sized at every sync it opens or answers, and
-    between learning events the vector — and every copy-on-write snapshot
-    sharing its entry table — has the same encoding. The memo lives on
-    the :class:`VersionVector` (its ``_wire_size`` slot), is inherited by
-    snapshots, and every mutating path clears it.
+    Equal to ``wire_size(encode_knowledge(vector))``, the specification
+    (held by ``tests/replication/test_codec.py::TestKnowledgeWireSize``),
+    but O(1): the vector keeps the sum of its entries' encoded sizes
+    current as it mutates, each entry charged a trailing comma
+    (:func:`repro.replication.versions._entry_wire_size`), so this only
+    adds the braces and drops the surplus comma. Knowledge is sized at
+    every sync, and flooding changes some entry of it at nearly every
+    one, so re-encoding would cost O(replicas) per sync.
     """
-    size = vector._wire_size
-    if size is None:
-        size = wire_size(encode_knowledge(vector))
-        vector._wire_size = size
-    return size
+    entries = vector._wire_size
+    return entries + 1 if entries else 2

@@ -49,7 +49,7 @@ from typing import (
 from .errors import UnknownItemError
 from .ids import ItemId, ReplicaId
 from .items import Item
-from .versions import VersionVector
+from .versions import _EMPTY, VersionVector
 
 #: Callback invoked when the relay store evicts an item under pressure.
 EvictionCallback = Callable[[Item], None]
@@ -238,11 +238,13 @@ class ItemStore:
         the number of *unknown* items, not the store size.
         """
         found: List[Item] = []
+        known = knowledge._entries  # one lookup per origin: prefix + extras
         for origin, counters in self._by_origin.items():
-            prefix = knowledge.known_counter_prefix(origin)
+            entry = known.get(origin, _EMPTY)
+            prefix = entry.prefix
             if counters[-1] <= prefix:
                 continue  # everything from this origin is already known
-            extras = knowledge.extra_counters(origin)
+            extras = entry.extras
             start = bisect_right(counters, prefix)
             for counter in counters[start:]:
                 if counter in extras:

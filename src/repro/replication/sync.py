@@ -293,8 +293,8 @@ def build_request(
     With a :class:`~repro.replication.digest.DigestConfig`, the request
     opens in digest mode when the negotiation picks it: a Bloom digest is
     sent only when its estimated wire size undercuts the exact vector's
-    (memoised) encoding, so compact contiguous knowledge keeps the exact
-    path and arming digests can only shrink request metadata. Each digest
+    encoded size, so compact contiguous knowledge keeps the exact path
+    and arming digests can only shrink request metadata. Each digest
     is built under a fresh per-session salt, which is what makes a false
     positive a one-contact delay instead of a permanent suppression.
     """

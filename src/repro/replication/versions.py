@@ -18,7 +18,10 @@ target's knowledge is never retransmitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
+from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Set, Tuple
 
 from repro._compat import DATACLASS_SLOTS
@@ -29,6 +32,10 @@ from .ids import ReplicaId, Version
 #: replica has no out-of-order counters — avoids allocating per lookup on
 #: the sync hot path.
 _NO_EXTRAS: FrozenSet[int] = frozenset()
+
+#: Sort key for replica ids. ``ReplicaId`` orders by its one ``name``
+#: field, so this is the same order without the dataclass ``__lt__``.
+_by_name = attrgetter("name")
 
 
 @dataclass(frozen=True, **DATACLASS_SLOTS)
@@ -95,6 +102,35 @@ class _Entry:
         return self.prefix == 0 and not self.extras
 
 
+#: The entry of a replica the vector knows nothing about.
+_EMPTY = _Entry()
+
+
+#: Bounded because names also arrive from peers, in decoded knowledge.
+@lru_cache(maxsize=4096)
+def _name_wire_size(name: str) -> int:
+    """Bytes of ``name`` as a JSON object key, quotes and escapes included."""
+    return len(json.dumps(name))
+
+
+def _entry_wire_size(replica: ReplicaId, entry: _Entry) -> int:
+    """Bytes ``"name":[prefix,extra,…],`` adds to the encoded knowledge.
+
+    The compact encoding (:func:`repro.replication.codec.encode_knowledge`
+    under :func:`~repro.replication.codec.wire_size`) is ASCII, so
+    characters are bytes. Empty entries are not encoded and count 0; the
+    trailing comma is charged to every entry, and the vector's size adds
+    the braces and takes the one surplus comma back.
+    """
+    if entry.is_empty:
+        return 0
+    extras = entry.extras
+    size = _name_wire_size(replica.name) + 4 + len(str(entry.prefix))
+    if extras:
+        size += len(extras) + sum(len(str(counter)) for counter in extras)
+    return size
+
+
 class VersionVector:
     """A compact, immutable-by-convention set of :class:`Version` values.
 
@@ -109,11 +145,12 @@ class VersionVector:
     table is safe; a sync request's knowledge snapshot therefore costs
     nothing unless the replica learns something mid-session.
 
-    ``_wire_size`` memoises the vector's encoded size (written by
-    :func:`repro.replication.codec.knowledge_wire_size`, the same pattern
-    as the per-item wire-size memo). Snapshots inherit it — they share
-    the entry table, so they share the size — and every mutating path
-    clears it on the side that actually wrote.
+    ``_wire_size`` keeps the vector's encoded size current: it is the sum
+    of :func:`_entry_wire_size` over the entries, from which
+    :func:`repro.replication.codec.knowledge_wire_size` reads the exact
+    size in O(1). The constructor sums it once (so ``clamped`` re-sums its
+    copy); ``add`` and ``merge`` apply the difference of the one entry
+    they replace. Snapshots copy it along with the table they share.
     """
 
     __slots__ = ("_entries", "_shared", "_wire_size")
@@ -121,7 +158,10 @@ class VersionVector:
     def __init__(self, entries: Mapping[ReplicaId, _Entry] | None = None) -> None:
         self._entries: Dict[ReplicaId, _Entry] = dict(entries or {})
         self._shared = False
-        self._wire_size: "int | None" = None
+        self._wire_size = sum(
+            _entry_wire_size(replica, entry)
+            for replica, entry in self._entries.items()
+        )
 
     # -- construction helpers -------------------------------------------------
 
@@ -162,12 +202,14 @@ class VersionVector:
 
     def add(self, version: Version) -> None:
         """Record ``version`` as known."""
-        entry = self._entries.get(version.replica, _Entry())
+        replica = version.replica
+        entry = self._entries.get(replica, _EMPTY)
         updated = entry.add(version.counter)
         if updated is not entry:
             self._detach()
-            self._entries[version.replica] = updated
-            self._wire_size = None
+            self._entries[replica] = updated
+            self._wire_size += _entry_wire_size(replica, updated)
+            self._wire_size -= _entry_wire_size(replica, entry)
 
     def merge(self, other: "VersionVector") -> None:
         """Union ``other`` into this vector (in place)."""
@@ -177,7 +219,9 @@ class VersionVector:
             if merged is not mine:
                 self._detach()
                 self._entries[replica] = merged
-                self._wire_size = None
+                self._wire_size += _entry_wire_size(replica, merged)
+                if mine is not None:
+                    self._wire_size -= _entry_wire_size(replica, mine)
 
     def merged(self, other: "VersionVector") -> "VersionVector":
         """Return a new vector equal to the union of both operands."""
@@ -200,19 +244,28 @@ class VersionVector:
             and all(counter <= maximum for counter in entry.extras)
         ):
             return self
-        clamp = self.copy()
-        clamp._detach()
-        clamp._entries[replica] = _Entry.canonical(
+        entries = dict(self._entries)
+        entries[replica] = _Entry.canonical(
             min(entry.prefix, maximum),
             (counter for counter in entry.extras if counter <= maximum),
         )
-        clamp._wire_size = None
-        return clamp
+        return VersionVector(entries)
 
     def dominates(self, other: "VersionVector") -> bool:
-        """True if every version in ``other`` is contained in ``self``."""
+        """True if every version in ``other`` is contained in ``self``.
+
+        Entries are immutable, so an entry object dominates itself: a
+        shared table (a snapshot nobody wrote to) is answered at once, and
+        entries a snapshot still shares with its source are skipped. Only
+        the entries that changed since are compared.
+        """
+        entries = self._entries
+        if entries is other._entries:
+            return True
         for replica, other_entry in other._entries.items():
-            mine = self._entries.get(replica)
+            mine = entries.get(replica)
+            if mine is other_entry:
+                continue
             if mine is None:
                 if not other_entry.is_empty:
                     return False
@@ -240,11 +293,11 @@ class VersionVector:
 
     def replicas(self) -> Tuple[ReplicaId, ...]:
         """The authoring replicas this vector has knowledge about (sorted)."""
-        return tuple(sorted(self._entries))
+        return tuple(sorted(self._entries, key=_by_name))
 
     def versions(self) -> Iterator[Version]:
         """Iterate every covered version. O(total counters); for tests."""
-        for replica in sorted(self._entries):
+        for replica in sorted(self._entries, key=_by_name):
             for counter in self._entries[replica].counters():
                 yield Version(replica, counter)
 
@@ -282,7 +335,7 @@ class VersionVector:
 
     def __repr__(self) -> str:
         parts = []
-        for replica in sorted(self._entries):
+        for replica in sorted(self._entries, key=_by_name):
             entry = self._entries[replica]
             if entry.is_empty:
                 continue

@@ -1,6 +1,6 @@
-"""Count gates for the two sync-path optimisations.
+"""Count gates for the sync-path optimisations.
 
-Both gates count work, not wall-clock time, so they hold on any machine:
+The gates count work, not wall-clock time, so they hold on any machine:
 
 * **version index** — over a flooding run, the stores the sources held
   (Σ ``SyncStats.store_size``, what a full scan visits) must outnumber
@@ -13,11 +13,15 @@ Both gates count work, not wall-clock time, so they hold on any machine:
   least ``MIN_REDUCTION`` times the checksum computations of the cached
   one, while carrying byte-identical batches to identical final
   knowledge.
+* **knowledge size** — exact-knowledge syncs fill
+  ``SyncStats.metadata_bytes`` without running the knowledge encoder
+  (zero ``codec.encode_knowledge`` calls), and Σ ``metadata_bytes``
+  equals the encoder's measurement of every request's knowledge.
 
 Workload: ``NODES`` replicas under Epidemic, ``ITEMS`` messages authored
 at random hosts across the first 80% of ``ENCOUNTERS`` random pairwise
 encounters (seed ``SEED``). Repeat meetings between converged peers are
-where both optimisations pay off. Each gate has a companion test that
+where the optimisations pay off. Each gate has a companion test that
 disables its optimisation and checks that the gate then trips.
 """
 
@@ -32,7 +36,7 @@ import pytest
 
 from repro.dtn.epidemic import EpidemicPolicy
 from repro.faults import DeliveryOutcome
-from repro.replication import integrity
+from repro.replication import codec, integrity, session
 from repro.replication.filters import MultiAddressFilter
 from repro.replication.ids import ReplicaId
 from repro.replication.integrity import ChecksumCache, item_checksum
@@ -311,3 +315,62 @@ def test_checksum_gate_trips_without_the_cache(schedule, monkeypatch):
         lambda self, item, declared: item_checksum(item) == declared,
     )
     assert checksum_reduction(schedule) < MIN_REDUCTION
+
+
+# -- knowledge size -----------------------------------------------------------
+
+
+@dataclass
+class MetadataRun:
+    encoder_calls: int
+    metadata_bytes: int
+    reference_bytes: int
+    exact_syncs: int
+
+
+def measure_metadata(schedule: Schedule, monkeypatch) -> MetadataRun:
+    """Count knowledge encodings during the run, and measure every exact
+    request's knowledge with the real encoder beside it (uncounted)."""
+    encode = codec.encode_knowledge
+    calls = [0]
+
+    def counted_encode(vector):
+        calls[0] += 1
+        return encode(vector)
+
+    monkeypatch.setattr(codec, "encode_knowledge", counted_encode)
+    build = session.build_batch
+    reference = [0, 0]
+
+    def measured_build(source, request, *args, **kwargs):
+        if request.digest is None:
+            reference[0] += codec.wire_size(encode(request.knowledge))
+            reference[1] += 1
+        return build(source, request, *args, **kwargs)
+
+    monkeypatch.setattr(session, "build_batch", measured_build)
+    _, all_stats = replay(schedule)
+    return MetadataRun(
+        encoder_calls=calls[0],
+        metadata_bytes=sum(stats.metadata_bytes for stats in all_stats),
+        reference_bytes=reference[0],
+        exact_syncs=reference[1],
+    )
+
+
+def test_knowledge_size_needs_no_encoding(schedule, monkeypatch):
+    run = measure_metadata(schedule, monkeypatch)
+    assert run.exact_syncs == 2 * ENCOUNTERS
+    assert run.encoder_calls == 0, run
+    assert run.metadata_bytes == run.reference_bytes, run
+
+
+def test_knowledge_size_gate_trips_through_the_encoder(schedule, monkeypatch):
+    monkeypatch.setattr(
+        codec,
+        "knowledge_wire_size",
+        lambda vector: codec.wire_size(codec.encode_knowledge(vector)),
+    )
+    run = measure_metadata(schedule, monkeypatch)
+    assert run.metadata_bytes == run.reference_bytes
+    assert run.encoder_calls == run.exact_syncs

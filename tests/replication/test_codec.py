@@ -1,6 +1,8 @@
 """Unit tests for the wire codec."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.replication import (
     AddressFilter,
@@ -200,3 +202,98 @@ class TestWireSize:
 
     def test_deterministic_key_order(self):
         assert wire_size({"b": 1, "a": 2}) == wire_size({"a": 2, "b": 1})
+
+
+# -- knowledge_wire_size ≡ the encoder ---------------------------------------------
+
+#: Replica names the JSON encoder escapes (ensure_ascii): non-ASCII,
+#: astral-plane (a surrogate pair), quote, backslash, control characters.
+AWKWARD_NAMES = ["a", "bus-07", "é", "日本", "😀", '"', "\\", "\x00", "\n\t", "\x7f"]
+#: Counters on either side of digit-count boundaries.
+BOUNDARY_COUNTERS = [1, 2, 8, 9, 10, 11, 98, 99, 100, 101, 999, 1000]
+
+names = st.sampled_from(AWKWARD_NAMES)
+counters = st.one_of(
+    st.sampled_from(BOUNDARY_COUNTERS), st.integers(min_value=1, max_value=120)
+)
+slots = st.integers(min_value=0, max_value=63)
+operations = st.one_of(
+    st.tuples(st.just("add"), slots, names, counters),
+    # counters 1..n in order: prefixes cross 9→10 and 99→100, and
+    # extras added earlier fold into the prefix as the gap closes
+    st.tuples(st.just("fill"), slots, names, st.integers(1, 120)),
+    st.tuples(st.just("merge"), slots, slots),
+    # maximum 0 leaves an empty entry in the table
+    st.tuples(st.just("clamp"), slots, names, st.integers(0, 110)),
+    st.tuples(st.just("copy"), slots),
+    st.tuples(st.just("roundtrip"), slots),
+)
+
+
+def encoder_size(vector: VersionVector) -> int:
+    """The specification: the size of the actual encoding."""
+    return wire_size(encode_knowledge(vector))
+
+
+class TestKnowledgeWireSize:
+    """``knowledge_wire_size`` is maintained arithmetically; after every
+    step of a random history it must equal the encoder's measurement on
+    every vector alive, snapshots and the vectors they were taken from
+    alike."""
+
+    @given(st.lists(operations, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_encoder_after_every_step(self, steps):
+        pool = [
+            VersionVector.empty(),
+            decode_knowledge({"x": [0], "é": [0]}),  # empty entries only
+            decode_knowledge({"x": [0], "y": [9, 11, 100]}),
+        ]
+        for step in steps:
+            kind, slot = step[0], step[1] % len(pool)
+            vector = pool[slot]
+            if kind == "add":
+                vector.add(Version(ReplicaId(step[2]), step[3]))
+            elif kind == "fill":
+                for counter in range(1, step[3] + 1):
+                    vector.add(Version(ReplicaId(step[2]), counter))
+            elif kind == "merge":
+                vector.merge(pool[step[2] % len(pool)])
+            elif kind == "clamp":
+                pool.append(vector.clamped(ReplicaId(step[2]), step[3]))
+            elif kind == "copy":
+                pool.append(vector.copy())
+            else:
+                decoded = decode_knowledge(encode_knowledge(vector))
+                assert decoded == vector
+                pool.append(decoded)
+            for alive in pool:
+                assert knowledge_wire_size(alive) == encoder_size(alive)
+
+    @given(
+        st.dictionaries(
+            st.text(min_size=1, max_size=6),
+            st.tuples(
+                st.integers(0, 10**6), st.sets(st.integers(1, 10**6), max_size=4)
+            ),
+            max_size=6,
+        )
+    )
+    def test_any_decoded_vector_matches_the_encoder(self, shapes):
+        data = {
+            name: [prefix, *sorted(c + prefix + 1 for c in extras)]
+            for name, (prefix, extras) in shapes.items()
+        }
+        vector = decode_knowledge(data)
+        assert knowledge_wire_size(vector) == encoder_size(vector)
+        assert knowledge_wire_size(vector) == wire_size(
+            {name: shape for name, shape in data.items() if shape != [0]}
+        )
+
+    def test_empty_vector_is_two_braces(self):
+        assert knowledge_wire_size(VersionVector.empty()) == len(b"{}")
+        assert knowledge_wire_size(decode_knowledge({"x": [0]})) == len(b"{}")
+
+    def test_non_string_replica_names_are_rejected(self):
+        with pytest.raises(CodecError):
+            decode_knowledge({7: [1]})

@@ -117,6 +117,39 @@ class TestVersionVector:
         vector = VersionVector.from_versions([v("a", 1)])
         assert vector.dominates(VersionVector.empty())
 
+    def test_dominates_shared_table_compares_no_entry(self, monkeypatch):
+        vector = VersionVector.from_versions([v("a", 1), v("b", 2)])
+        snapshot = vector.copy()
+        monkeypatch.setattr(_Entry, "dominates", lambda self, other: False)
+        assert vector.dominates(snapshot)
+        assert snapshot.dominates(vector)
+
+    def test_dominates_compares_only_entries_that_changed(self, monkeypatch):
+        vector = VersionVector.from_versions([v("a", 1), v("b", 1), v("c", 1)])
+        snapshot = vector.copy()
+        vector.add(v("b", 2))  # detaches; "a" and "c" stay shared objects
+        compared = []
+        original = _Entry.dominates
+
+        def counted(self, other):
+            compared.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(_Entry, "dominates", counted)
+        assert vector.dominates(snapshot)
+        assert compared == [snapshot._entries[ReplicaId("b")]]
+        assert not snapshot.dominates(vector)
+
+    def test_clamped_does_not_dominate_despite_shared_entries(self):
+        vector = VersionVector.from_versions(
+            [v("a", 4), v("b", 1), v("c", 1), v("c", 2)]
+        )
+        clamp = vector.clamped(ReplicaId("c"), 1)  # the last entry walked
+        for name in ("a", "b"):
+            assert clamp._entries[ReplicaId(name)] is vector._entries[ReplicaId(name)]
+        assert not clamp.dominates(vector)
+        assert vector.dominates(clamp)
+
     def test_copy_is_independent(self):
         vector = VersionVector.from_versions([v("a", 1)])
         copy = vector.copy()
