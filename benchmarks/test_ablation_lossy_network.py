@@ -1,30 +1,30 @@
 """Ablation: delivery under random sync failures.
 
 Real DieselNet radio contacts often failed to complete a transfer; the
-emulator's ``sync_failure_probability`` models that. Because the
-substrate's knowledge updates only on receipt, failures cost time but
-never correctness — flooding policies degrade gracefully while the
-direct-only baseline, with far fewer useful contacts to begin with,
-suffers proportionally more.
+fault model's encounter drop (``FaultConfig(encounter_drop_probability=)``)
+models that. Because the substrate's knowledge updates only on receipt,
+failures cost time but never correctness — flooding policies degrade
+gracefully while the direct-only baseline, with far fewer useful contacts
+to begin with, suffers proportionally more.
 """
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_series_table
 from repro.experiments.scenario import build_scenario
+from repro.faults import FaultConfig
 
 HOURS = 3600.0
 LOSS_RATES = (0.0, 0.25, 0.5)
 
 
 def run_with_loss(inputs, policy, loss):
+    faults = FaultConfig(encounter_drop_probability=loss) if loss else None
     scenario = build_scenario(
-        ExperimentConfig(scale=inputs.scale, policy=policy),
+        ExperimentConfig(scale=inputs.scale, policy=policy, faults=faults),
         trace=inputs.trace,
         model=inputs.model,
     )
-    scenario.emulator.sync_failure_probability = loss
-    metrics = scenario.emulator.run()
-    return metrics, scenario.emulator.failed_encounters
+    return scenario.emulator.run()
 
 
 def test_ablation_sync_failures(benchmark, inputs, report):
@@ -34,9 +34,9 @@ def test_ablation_sync_failures(benchmark, inputs, report):
         for policy in ("cimbiosys", "epidemic"):
             points = []
             for loss in LOSS_RATES:
-                metrics, failed = run_with_loss(inputs, policy, loss)
+                metrics = run_with_loss(inputs, policy, loss)
                 points.append((loss, 100.0 * metrics.delivery_ratio))
-                failures[(policy, loss)] = failed
+                failures[(policy, loss)] = metrics.dropped_encounters
             series[policy] = points
         return series, failures
 
@@ -44,7 +44,7 @@ def test_ablation_sync_failures(benchmark, inputs, report):
     report(
         "ablation_loss",
         render_series_table(
-            "Ablation: % delivered (whole run) vs sync-failure probability",
+            "Ablation: % delivered (whole run) vs encounter-drop probability",
             "loss",
             series,
         ),

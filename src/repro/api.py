@@ -2,8 +2,8 @@
 
 ``repro.api`` is a curated facade: everything re-exported here is covered
 by the stability policy in ``docs/api.md`` — keyword-compatible across
-minor releases, with at least one release of :class:`DeprecationWarning`
-before any breaking change. Internal modules stay importable (this is
+minor releases, with at least one release of deprecation warnings before
+any breaking change. Internal modules stay importable (this is
 research code; poke at anything), but only the names below are *promised*.
 
 Typical use::
@@ -49,8 +49,7 @@ Groups:
   Figure 4 exchange (one direction, or a full two-sync encounter) over
   any :class:`Transport`, configured by :class:`SessionConfig`. The
   emulator, the tests, and the live network all drive these same
-  objects; the old ``perform_sync``/``perform_encounter`` free functions
-  remain as deprecated shims.
+  objects.
 * **Live swarm** — :func:`run_swarm` / :class:`SwarmConfig` replay a
   trace against real replica processes over unix or TCP sockets
   (``repro serve`` / ``repro swarm``), and

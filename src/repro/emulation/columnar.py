@@ -286,7 +286,6 @@ class ColumnarWorld:
         self._order_draws = order_draws
         self._injections = sorted(injections, key=lambda inj: inj.time)
         self.skipped_injections: List[Injection] = []
-        self.failed_encounters = 0
 
         self._injector: Optional[FaultInjector] = (
             FaultInjector(faults, seed=fault_seed)
@@ -412,7 +411,6 @@ class ColumnarWorld:
                 self.metrics.record_backoff_skip()
                 return
             if injector.should_drop_encounter(name_a, name_b):
-                self.failed_encounters += 1
                 self.metrics.record_dropped_encounter()
                 return
         first, second = (ai, bi) if order else (bi, ai)
@@ -562,7 +560,7 @@ class ColumnarWorld:
                 dup_mask = duplication.duplicate_mask(delivered_n, rng)
 
         # Source-side confirmation (each delivered entry once), *before*
-        # the target applies — perform_sync's order, which matters for
+        # the target applies — SyncSession.run's order, which matters for
         # first-contact holder counts at delivery time.
         if kind == _SPRAY and delivered_n:
             attr = self._local[src]

@@ -74,7 +74,6 @@ class Emulator:
         assignments: Optional[AssignmentSchedule] = None,
         bandwidth_limit: Optional[int] = None,
         messages_per_second: Optional[float] = None,
-        sync_failure_probability: float = 0.0,
         seed: int = 0,
         metrics: Optional[MetricsCollector] = None,
         faults: Optional[FaultConfig] = None,
@@ -89,10 +88,6 @@ class Emulator:
           from the encounter's radio-contact ``duration`` (encounters
           without a recorded duration stay unlimited); it composes with
           ``bandwidth_limit`` by taking the tighter of the two.
-        * ``sync_failure_probability`` drops whole encounters at random
-          (the radio contact happened but no sync completed), seeded and
-          deterministic. The substrate's crash-safety makes this purely a
-          performance effect, never a correctness one.
         * ``faults`` + ``fault_seed`` arm the :mod:`repro.faults`
           subsystem: encounter drops, mid-batch truncation, duplicated
           delivery, crash-restarts, and the adversarial channel models
@@ -118,8 +113,6 @@ class Emulator:
           ``churn_schedule`` to reuse an already-derived one); arming
           churn consumes none of the base experiment's random draws.
         """
-        if not 0.0 <= sync_failure_probability <= 1.0:
-            raise ValueError("sync_failure_probability must be in [0, 1]")
         if messages_per_second is not None and messages_per_second <= 0:
             raise ValueError("messages_per_second must be positive")
         self.trace = trace
@@ -128,8 +121,6 @@ class Emulator:
         self.assignments = dict(assignments or {})
         self.bandwidth_limit = bandwidth_limit
         self.messages_per_second = messages_per_second
-        self.sync_failure_probability = sync_failure_probability
-        self.failed_encounters = 0
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.digest = digest
         self.engine = SimulationEngine()
@@ -280,16 +271,10 @@ class Emulator:
 
     def _run_encounter(self, encounter: Encounter) -> None:
         order = self._rng.random() < 0.5
-        if (
-            self.sync_failure_probability > 0.0
-            and self._rng.random() < self.sync_failure_probability
-        ):
-            self.failed_encounters += 1
-            return
-        # Churn gating comes *after* the base draws above: the coin and
-        # failure draw are consumed for every trace encounter in both
-        # execution modes (the swarm pre-draws them in schedule order),
-        # so skipping an encounter must not skip its draws.
+        # Churn gating comes *after* the order coin above: the coin is
+        # consumed for every trace encounter in both execution modes (the
+        # swarm pre-draws it in schedule order), so skipping an encounter
+        # must not skip its draw.
         if self.lifecycle is not None:
             a_online = self.lifecycle.online(encounter.a)
             b_online = self.lifecycle.online(encounter.b)
@@ -310,7 +295,6 @@ class Emulator:
                 self.metrics.record_quarantine_skip()
                 return
             if injector.should_drop_encounter(encounter.a, encounter.b):
-                self.failed_encounters += 1
                 self.metrics.record_dropped_encounter()
                 return
         node_a = self.nodes[encounter.a]
@@ -500,9 +484,6 @@ class Emulator:
     @property
     def skipped_injections(self) -> Sequence[Injection]:
         return tuple(self._skipped_injections)
-
-    def user_location(self, user: str) -> Optional[str]:
-        return self._user_location.get(user)
 
     # -- orchestration -----------------------------------------------------------------------
 

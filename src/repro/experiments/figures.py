@@ -116,9 +116,6 @@ class _ResultCache:
                     self._store.save_result(self._results[key])
         return self._results[key]
 
-    def clear(self) -> None:
-        self._results.clear()
-
 
 RESULT_CACHE = _ResultCache()
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping
 
-from repro.emulation.network import Emulator
 from repro.replication.persistence import replica_to_state
 from repro.replication.replica import Replica
 
@@ -69,14 +68,6 @@ def emulator_fixed_points(
     return {
         name: replica_fixed_point(node.replica)
         for name, node in sorted(scenario.nodes.items())
-    }
-
-
-def snapshot_emulator(emulator: Emulator) -> Dict[str, Dict[str, Any]]:
-    """Fixed points of an already-run emulator's nodes."""
-    return {
-        name: replica_fixed_point(node.replica)
-        for name, node in sorted(emulator.nodes.items())
     }
 
 

@@ -15,8 +15,8 @@ the emulator rests on this module reproducing that order *exactly*:
   replay order*, matching the emulator's single draw per executed
   encounter on the fault-free path the live swarm runs.
 
-Anything that would make the draws diverge (sync-failure sampling, fault
-injection) is rejected by the swarm before it starts.
+Anything that would make the draws diverge (fault injection) is rejected
+by the swarm before it starts.
 """
 
 from __future__ import annotations

@@ -99,27 +99,6 @@ class ServeConfig:
                 "simulation-only feature (run the emulator for faults)"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "node": self.node,
-            "listen": self.listen,
-            "experiment": self.experiment.to_dict(),
-            "state_dir": self.state_dir,
-            "read_timeout": self.read_timeout,
-            "amnesiac": self.amnesiac,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServeConfig":
-        return cls(
-            node=data["node"],
-            listen=data["listen"],
-            experiment=ExperimentConfig.from_dict(data["experiment"]),
-            state_dir=data.get("state_dir"),
-            read_timeout=data.get("read_timeout", DEFAULT_READ_TIMEOUT),
-            amnesiac=bool(data.get("amnesiac", False)),
-        )
-
 
 class _EvictionCounter(BaseReplicaObserver):
     def __init__(self) -> None:
@@ -431,7 +410,7 @@ class NodeServer:
                 "node": self.name,
                 "sim_now": self.sim_now,
                 "stored_items": self.node.replica.stored_count,
-                "delivered_messages": len(self.node.app.delivered_messages()),
+                "delivered_messages": len(self.node.app.delivered_messages),
                 "encounters": self.encounters,
                 "evictions": self._evictions.count,
                 "protocol": PROTOCOL_VERSION,

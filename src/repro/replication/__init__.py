@@ -19,10 +19,6 @@ Typical use::
     alice.create_item("hi bob", {"destination": "bob"})
     EncounterSession(first=SyncEndpoint(alice), second=SyncEndpoint(bob)).run()
     assert any(i.payload == "hi bob" for i in bob.stored_items())
-
-(``perform_sync`` / ``perform_encounter`` remain as deprecated shims over
-:class:`~repro.replication.session.SyncSession` /
-:class:`~repro.replication.session.EncounterSession`.)
 """
 
 from .codec import (
@@ -35,7 +31,6 @@ from .codec import (
     decode_knowledge,
     decode_knowledge_digest,
     decode_sync_request,
-    digest_wire_size,
     encode_batch,
     encode_batch_entry,
     encode_batch_frame,
@@ -132,8 +127,6 @@ from .sync import (
     SyncStats,
     build_batch,
     build_request,
-    perform_encounter,
-    perform_sync,
     validate_request_digest,
     validate_request_knowledge,
 )
@@ -219,7 +212,6 @@ __all__ = [
     "decode_knowledge",
     "decode_knowledge_digest",
     "decode_sync_request",
-    "digest_wire_size",
     "encode_batch",
     "encode_batch_entry",
     "encode_batch_frame",
@@ -233,8 +225,6 @@ __all__ = [
     "item_checksum",
     "knowledge_wire_size",
     "load_replica",
-    "perform_encounter",
-    "perform_sync",
     "register_routing_codec",
     "replica_from_state",
     "replica_to_state",

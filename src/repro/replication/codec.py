@@ -136,11 +136,6 @@ def decode_knowledge_digest(data: Any) -> KnowledgeDigest:
         raise CodecError(str(error)) from error
 
 
-def digest_wire_size(digest: KnowledgeDigest) -> int:
-    """Bytes a knowledge digest occupies in a sync request."""
-    return wire_size(encode_knowledge_digest(digest))
-
-
 # -- filters -----------------------------------------------------------------------
 
 

@@ -142,18 +142,11 @@ class FilterTree:
 
     # -- queries ------------------------------------------------------------------
 
-    @property
-    def root(self) -> Optional[str]:
-        return self._root
-
     def names(self) -> List[str]:
         return sorted(self._nodes)
 
     def depth_of(self, name: str) -> int:
         return self._nodes[name].depth
-
-    def endpoint_of(self, name: str) -> SyncEndpoint:
-        return self._nodes[name].endpoint
 
     def replica_of(self, name: str) -> Replica:
         return self._nodes[name].replica

@@ -75,24 +75,16 @@ def _opaque(value: object) -> str:
 
 
 #: Count of actual serialise-and-hash computations performed by
-#: :func:`item_checksum` since process start (or the last reset). This is
-#: the quantity the checksum count gate measures: cache layers avoid
-#: computations, they never change results, so the counter is the honest
-#: cost metric for both the cached and the uncached pipeline.
+#: :func:`item_checksum` since process start. This is the quantity the
+#: checksum count gate measures: cache layers avoid computations, they
+#: never change results, so the counter is the honest cost metric for
+#: both the cached and the uncached pipeline.
 _computations = 0
 
 
 def checksum_computations() -> int:
     """How many times :func:`item_checksum` actually hashed content."""
     return _computations
-
-
-def reset_checksum_computations() -> int:
-    """Reset the computation counter; returns the value it had."""
-    global _computations
-    previous = _computations
-    _computations = 0
-    return previous
 
 
 def item_checksum(item: Item) -> str:

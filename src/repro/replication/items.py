@@ -121,10 +121,6 @@ class Item:
         return self.local_attributes.get(name, default)
 
     @property
-    def source(self) -> Any:
-        return self.attributes.get(ATTR_SOURCE)
-
-    @property
     def destination(self) -> Any:
         return self.attributes.get(ATTR_DESTINATION)
 

@@ -1,18 +1,15 @@
 """Transport-agnostic sync sessions: the protocol flow as an object.
 
-:func:`~repro.replication.sync.perform_sync` and
-:func:`~repro.replication.sync.perform_encounter` grew one positional
-flag per feature (bandwidth caps, fault transports, a checksum-cache toggle,
-knowledge digests). This module re-packages the same flow behind three
-keyword-only objects:
+The stages of :mod:`repro.replication.sync` (request, batch, delivery,
+apply) are driven behind three keyword-only objects:
 
 * :class:`SessionConfig` — the protocol knobs, serialisable like every
   other config object (``to_dict``/``from_dict`` round-trip);
 * :class:`SyncSession` — one sync (target pulls from source). With both
-  endpoints local, :meth:`SyncSession.run` reproduces ``perform_sync``
-  draw-for-draw. With only *one* endpoint local — the networked case,
-  where source and target live in different OS processes — the stepwise
-  halves (:meth:`build_request` / :meth:`apply` on the target side,
+  endpoints local, :meth:`SyncSession.run` executes the whole flow.
+  With only *one* endpoint local — the networked case, where source and
+  target live in different OS processes — the stepwise halves
+  (:meth:`build_request` / :meth:`apply` on the target side,
   :meth:`build_response` / :meth:`stamp` / :meth:`confirm_sent` on the
   source side) expose each protocol step so a byte transport can carry
   the encoded frames between them;
@@ -20,8 +17,7 @@ keyword-only objects:
   shared bandwidth budget, exactly the paper's encounter shape.
 
 The discrete-event emulator and the asyncio transport in
-:mod:`repro.net` both drive these same session objects; the old free
-functions remain as thin :class:`DeprecationWarning` shims.
+:mod:`repro.net` both drive these same session objects.
 
 A channel is anything satisfying the :class:`Transport` protocol —
 :class:`repro.faults.FaultyTransport` already does, and so does the
@@ -30,8 +26,7 @@ delivery half of a live socket connection.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro._compat import keyword_only_dataclass
@@ -67,9 +62,7 @@ class Transport(Protocol):
     with the sync request before the source sees it.
 
     :class:`repro.faults.FaultyTransport` and its
-    :class:`~repro.faults.DeliveryOutcome` satisfy this protocol
-    unchanged; it formalises the duck type ``perform_sync`` always
-    accepted.
+    :class:`~repro.faults.DeliveryOutcome` satisfy this protocol.
     """
 
     def deliver(self, batch: Sequence[Any]) -> Any:
@@ -88,29 +81,15 @@ class SessionConfig:
     path (``False`` recomputes every checksum, the reference the
     equivalence tests compare against); ``digest`` arms the compact
     knowledge-digest mode (``docs/protocol.md`` §8).
-
-    ``use_index`` is deprecated and has no effect: the version index is
-    the only enumeration path, and it selects the same batch a full
-    scan would. Passing ``use_index=False`` emits
-    :class:`DeprecationWarning`; the field is removed in the next
-    release. It takes no part in equality or serialisation.
     """
 
     max_items: Optional[int] = None
-    use_index: bool = field(default=True, compare=False, repr=False)
     use_cache: bool = True
     digest: Optional[DigestConfig] = None
 
     def __post_init__(self) -> None:
         if self.max_items is not None and self.max_items < 0:
             raise ValueError("max_items must be non-negative or None")
-        if not self.use_index:
-            warnings.warn(
-                "SessionConfig(use_index=False) is deprecated and has no "
-                "effect; the field will be removed in the next release",
-                DeprecationWarning,
-                stacklevel=4,
-            )
 
     def to_dict(self) -> dict:
         """A JSON-safe dict; ``from_dict(to_dict())`` reconstructs exactly."""
@@ -147,12 +126,11 @@ class SyncSession:
     """One sync session: ``target`` pulls from ``source``.
 
     Constructed keyword-only. For a fully local session pass both
-    endpoints; :meth:`run` then executes the whole Figure 4 flow
-    (identically to the deprecated ``perform_sync``). For a networked
-    session, construct a *half* session in each process — only the local
-    endpoint plus ``peer`` naming the remote replica — and drive the
-    stepwise methods, shipping the encoded request/batch frames through
-    :mod:`repro.replication.codec` in between.
+    endpoints; :meth:`run` then executes the whole Figure 4 flow. For a
+    networked session, construct a *half* session in each process — only
+    the local endpoint plus ``peer`` naming the remote replica — and drive
+    the stepwise methods, shipping the encoded request/batch frames
+    through :mod:`repro.replication.codec` in between.
     """
 
     def __init__(
@@ -298,11 +276,10 @@ class SyncSession:
     def run(self) -> SyncStats:
         """Run the complete session with both endpoints local.
 
-        Byte-for-byte the flow of the deprecated ``perform_sync``: build
-        the request, (optionally) let the transport corrupt it, build the
-        batch, deliver — stamping checksums only when a transport is
-        present — fire ``on_items_sent`` for the confirmed set, and apply
-        the delivered stream on the target.
+        Build the request, (optionally) let the transport corrupt it,
+        build the batch, deliver — stamping checksums only when a
+        transport is present — fire ``on_items_sent`` for the confirmed
+        set, and apply the delivered stream on the target.
         """
         if self.source is None or self.target is None:
             raise ValueError("run() needs both endpoints; use the stepwise "

@@ -379,6 +379,3 @@ class RelayStore:
     def attach_checksum_cache(self, cache: Any) -> None:
         """Route this store's invalidations into a replica-wide cache."""
         self._store.checksum_cache = cache
-
-    def clear(self) -> None:
-        self._store.clear()

@@ -1,4 +1,8 @@
-"""Tests for the emulator's realism knobs: durations and sync failures."""
+"""Tests for the emulator's realism knobs: durations and sync failures.
+
+A sync failure (the radio contact happened but no sync ran) is the fault
+model's encounter drop, ``FaultConfig(encounter_drop_probability=)``.
+"""
 
 import pytest
 
@@ -6,6 +10,7 @@ from repro.dtn import DirectDeliveryPolicy, EpidemicPolicy
 from repro.emulation.encounters import Encounter, EncounterTrace
 from repro.emulation.network import Emulator, Injection
 from repro.emulation.node import EmulatedNode
+from repro.faults import FaultConfig
 
 
 def nodes_for(names, policy=DirectDeliveryPolicy):
@@ -88,8 +93,8 @@ class TestSyncFailures:
             trace,
             nodes_for(["a", "b"], EpidemicPolicy),
             injections=[Injection(hour(8), "a", "b", "m")],
-            sync_failure_probability=probability,
-            seed=seed,
+            faults=FaultConfig(encounter_drop_probability=probability),
+            fault_seed=seed,
         )
 
     def test_probability_validated(self):
@@ -98,17 +103,15 @@ class TestSyncFailures:
 
     def test_zero_probability_never_fails(self):
         emulator = self.make_emulator(0.0)
-        emulator.run()
-        assert emulator.failed_encounters == 0
-        assert emulator.metrics.encounters == 50
+        metrics = emulator.run()
+        assert metrics.dropped_encounters == 0
+        assert metrics.encounters == 50
 
     def test_failures_drop_encounters_but_not_delivery(self):
         emulator = self.make_emulator(0.5)
         metrics = emulator.run()
-        assert emulator.failed_encounters > 0
-        assert (
-            emulator.failed_encounters + metrics.encounters == 50
-        )
+        assert metrics.dropped_encounters > 0
+        assert metrics.dropped_encounters + metrics.encounters == 50
         # With 50 opportunities, the message still gets through.
         assert metrics.delivered == 1
 
@@ -123,5 +126,8 @@ class TestSyncFailures:
         first.run()
         second = self.make_emulator(0.3, seed=9)
         second.run()
-        assert first.failed_encounters == second.failed_encounters
+        assert (
+            first.metrics.dropped_encounters
+            == second.metrics.dropped_encounters
+        )
         assert first.metrics.transmissions == second.metrics.transmissions

@@ -85,15 +85,13 @@ class TestEnvScale:
 
 
 class TestKeywordOnlyConstruction:
-    def test_positional_args_warn_then_work(self):
-        with pytest.warns(DeprecationWarning, match="keyword"):
-            config = ExperimentConfig(0.5)
-        assert config.scale == 0.5
+    def test_positional_args_raise(self):
+        with pytest.raises(TypeError, match="keyword"):
+            ExperimentConfig(0.5)
 
     def test_positional_and_keyword_collision(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                ExperimentConfig(0.5, scale=0.25)
+        with pytest.raises(TypeError, match="keyword"):
+            ExperimentConfig(0.5, scale=0.25)
 
     def test_unknown_field_error_names_field_and_lists_valid(self):
         with pytest.raises(TypeError) as excinfo:

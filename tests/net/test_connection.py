@@ -191,8 +191,13 @@ def test_receive_timeout():
         with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
             address = _socket_path(tmp)
 
+            release, released = asyncio.Event(), asyncio.Event()
+
             async def silent(reader, writer):
-                await asyncio.sleep(5)
+                await release.wait()  # say nothing until the client is done
+                writer.close()
+                await writer.wait_closed()
+                released.set()
 
             server = await asyncio.start_unix_server(
                 silent, path=parse_address(address)[1]
@@ -204,6 +209,8 @@ def test_receive_timeout():
                 return True
             finally:
                 await client.close()
+                release.set()
+                await asyncio.wait_for(released.wait(), timeout=5)
                 server.close()
                 await server.wait_closed()
             return False
@@ -219,16 +226,23 @@ def test_reconnect_dialer_reaches_late_server():
         with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
             address = _socket_path(tmp)
             holder = {}
+            accepted = asyncio.Event()
+
+            async def hang_up(reader, writer):
+                writer.close()
+                await writer.wait_closed()
+                accepted.set()
 
             async def start_late():
                 await asyncio.sleep(0.15)
                 holder["server"] = await asyncio.start_unix_server(
-                    lambda r, w: None, path=parse_address(address)[1]
+                    hang_up, path=parse_address(address)[1]
                 )
 
             starter = asyncio.ensure_future(start_late())
             dialer = ReconnectDialer(max_attempts=100)
             connection = await dialer.dial("peer", address)
+            await asyncio.wait_for(accepted.wait(), timeout=5)
             await connection.close()
             await starter
             holder["server"].close()

@@ -10,7 +10,7 @@ from repro.replication import (
     Replica,
     ReplicaId,
     SyncEndpoint,
-    perform_sync,
+    SyncSession,
 )
 from repro.replication.codec import CodecError
 from repro.replication.persistence import (
@@ -116,15 +116,21 @@ class TestResume:
         alice = populated_replica()
         bob = Replica(ReplicaId("bob"), AddressFilter("bob"))
         bob.create_item("first", {"destination": "alice"})
-        perform_sync(SyncEndpoint(bob), SyncEndpoint(alice))
+        SyncSession(source=SyncEndpoint(bob), target=SyncEndpoint(alice)).run()
 
         restored = replica_from_state(replica_to_state(alice))
         # Nothing new: the restored knowledge filters everything out.
-        stats = perform_sync(SyncEndpoint(bob), SyncEndpoint(restored))
+        stats = SyncSession(
+            source=SyncEndpoint(bob),
+            target=SyncEndpoint(restored),
+        ).run()
         assert stats.sent_total == 0
         # Something new: accepted exactly once.
         bob.create_item("second", {"destination": "alice"})
-        stats = perform_sync(SyncEndpoint(bob), SyncEndpoint(restored))
+        stats = SyncSession(
+            source=SyncEndpoint(bob),
+            target=SyncEndpoint(restored),
+        ).run()
         assert stats.sent_total == 1
 
 
